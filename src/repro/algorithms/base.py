@@ -19,6 +19,7 @@ from ..core.backend import (AlgorithmResult, ExecutionPolicy,
 from ..core.dataset import UncertainDataset
 from ..core.numeric import PROB_ATOL, SCORE_ATOL, clamp_probability
 from ..core.preference import PreferenceRegion, resolve_preference_region
+from ..core.profiling import phase
 
 
 @dataclass
@@ -67,7 +68,8 @@ class ScoreSpace:
 
 def build_score_space(dataset: UncertainDataset, constraints) -> ScoreSpace:
     """Resolve the constraints and map every instance into score space."""
-    region = resolve_preference_region(constraints)
+    with phase("setup"):
+        region = resolve_preference_region(constraints)
     if region.dimension != dataset.dimension:
         raise ValueError(
             "constraints are defined for dimension %d but the dataset has "

@@ -143,7 +143,8 @@ def branch_and_bound_arsp(dataset: UncertainDataset, constraints,
 def _bnb_shard(dataset: UncertainDataset, constraints,
                lo: int, hi: int, max_entries: int = 16) -> Dict[int, float]:
     """B&B results for the instances owned by objects in ``[lo, hi)``."""
-    region = resolve_preference_region(constraints)
+    with phase("setup"):
+        region = resolve_preference_region(constraints)
     if region.dimension != dataset.dimension:
         raise ValueError(
             "constraints are defined for dimension %d but the dataset has "

@@ -764,7 +764,9 @@ class _ShardSupervisor:
         from concurrent.futures import BrokenExecutor
 
         while self.pending and len(self.in_flight) < self.processes:
-            index = self.pending.popleft()
+            index = self._next_pending()
+            if index is None:
+                break
             self.attempts[index] += 1
             try:
                 future = self.pool.submit(_worker_run, self.bounds[index],
@@ -774,6 +776,23 @@ class _ShardSupervisor:
                 return error
             self.in_flight[future] = (index, time.monotonic())
         return None
+
+    def _next_pending(self) -> Optional[int]:
+        """Take the first pending shard whose fault-plan gate is open.
+
+        A task gated by an ``after=`` fault rule waits until its
+        prerequisite shard's result has been collected; when nothing is in
+        flight to open a gate, the first pending shard goes regardless.
+        """
+        plan = self.policy.fault_plan
+        for index in self.pending:
+            rule = (None if plan is None
+                    else plan.task_rule(index, self.attempts[index] + 1))
+            after = None if rule is None else rule.after
+            if after is None or after >= len(self.done) or self.done[after]:
+                self.pending.remove(index)
+                return index
+        return self.pending.popleft() if not self.in_flight else None
 
     def _wait_timeout(self) -> Optional[float]:
         if self.policy.shard_timeout_s is None:

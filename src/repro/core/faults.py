@@ -20,6 +20,13 @@ Faults are keyed on coordinates the scheduler controls deterministically:
     ``(num_targets, workers)`` and attempts are counted in the parent, a
     rule fires on exactly one task execution no matter how the pool
     schedules work.
+``after``
+    Optional ordering for a ``crash`` / ``hang`` rule: the supervisor
+    submits the task only once shard ``after``'s result is collected.
+    The other coordinates fix which task fails, not which tasks are in
+    flight with it (and die with the pool); ``after`` fixes that too, on
+    any core count.  With nothing in flight the gate is ignored, so it
+    cannot deadlock.
 ``generation``
     The pool's rebuild counter: the first pool is generation 0, each
     supervised rebuild increments it.  Initializer and attach faults are
@@ -39,14 +46,15 @@ Rules are separated by ``;``; each rule is ``kind`` optionally followed
 by ``:`` and comma-separated ``key=value`` fields::
 
     REPRO_FAULTS="crash:shard=1,attempt=1"
+    REPRO_FAULTS="crash:shard=1,attempt=1,after=0"
     REPRO_FAULTS="hang:shard=0,attempt=2,seconds=30"
     REPRO_FAULTS="init:generation=0;attach:generation=1"
 
 ``crash`` and ``hang`` require ``shard`` (``attempt`` defaults to 1,
-``seconds`` to 30); ``init`` and ``attach`` take ``generation``
-(default 0).  :meth:`FaultPlan.from_env` parses the variable, so any
-``repro arsp`` / ``repro bench`` invocation can be run under a fault plan
-without code changes.
+``seconds`` to 30, ``after`` to no gate); ``init`` and ``attach`` take
+``generation`` (default 0).  :meth:`FaultPlan.from_env` parses the
+variable, so any ``repro arsp`` / ``repro bench`` invocation can be run
+under a fault plan without code changes.
 """
 
 from __future__ import annotations
@@ -88,8 +96,9 @@ class FaultRule:
     """One injected fault.
 
     ``crash`` / ``hang`` rules fire when the worker executes the matching
-    ``(shard, attempt)`` task; ``init`` / ``attach`` rules fire in every
-    worker initializer of the matching pool ``generation``.
+    ``(shard, attempt)`` task (submitted only once shard ``after``'s result
+    is collected, when ``after`` is set); ``init`` / ``attach`` rules fire
+    in every worker initializer of the matching pool ``generation``.
     """
 
     kind: str
@@ -97,6 +106,7 @@ class FaultRule:
     attempt: int = 1
     seconds: float = DEFAULT_HANG_SECONDS
     generation: int = 0
+    after: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -109,6 +119,11 @@ class FaultRule:
             if self.attempt < 1:
                 raise ValueError("fault attempts are 1-based, got %d"
                                  % self.attempt)
+            if self.after is not None and (self.after < 0
+                                           or self.after == self.shard):
+                raise ValueError("'after' must name another non-negative "
+                                 "shard, got %r for shard %d"
+                                 % (self.after, self.shard))
         if self.kind == "hang" and not self.seconds > 0.0:
             raise ValueError("hang faults need seconds > 0, got %r"
                              % (self.seconds,))
@@ -123,6 +138,8 @@ class FaultRule:
             fields = ["shard=%d" % self.shard, "attempt=%d" % self.attempt]
             if self.kind == "hang":
                 fields.append("seconds=%g" % self.seconds)
+            if self.after is not None:
+                fields.append("after=%d" % self.after)
         else:
             fields = ["generation=%d" % self.generation]
         return "%s:%s" % (self.kind, ",".join(fields))
@@ -134,11 +151,12 @@ _FIELD_PARSERS = {
     "attempt": int,
     "seconds": float,
     "generation": int,
+    "after": int,
 }
 
 _KIND_FIELDS = {
-    "crash": ("shard", "attempt"),
-    "hang": ("shard", "attempt", "seconds"),
+    "crash": ("shard", "attempt", "after"),
+    "hang": ("shard", "attempt", "seconds", "after"),
     "init": ("generation",),
     "attach": ("generation",),
 }

@@ -31,6 +31,12 @@ from .numeric import SCORE_ATOL
 #: de-duplicating vertices of the preference region.
 _FEASIBILITY_ATOL = 1e-9
 
+#: Elements per vectorized block of vertex enumeration: ``_CHUNK_BUDGET //
+#: d²`` candidate systems are built and solved at once (256 at ``d = 8``),
+#: and de-duplication compares at most this many row entries at a time
+#: (kernel contract, rule 4).
+_CHUNK_BUDGET = 1 << 14
+
 
 class PreferenceRegion:
     """The convex polytope ``Ω ⊆ S^{d-1}`` of admissible weight vectors.
@@ -218,6 +224,14 @@ class LinearConstraints:
         satisfies all remaining inequalities.  The constraint counts used in
         the paper (``c <= d``, ``d <= 8``) make brute-force enumeration over
         all ``C(c + d, d - 1)`` subsets perfectly adequate.
+
+        Subsets are solved in blocks of ``_CHUNK_BUDGET // d²`` systems, in
+        ``combinations`` order.  ``slogdet``'s sign masks the singular ones
+        (the ``getrf`` zero-pivot test that makes a lone ``solve`` raise),
+        one batched ``solve`` runs one ``gesv`` per remaining system, and
+        :meth:`feasible`'s checks run as array masks on the same operands,
+        so the result is bit-identical to solving each subset on its own
+        (pinned by ``tests/properties/test_property_preference.py``).
         """
         d = self.dimension
         if d == 1:
@@ -227,36 +241,51 @@ class LinearConstraints:
                 raise ValueError("infeasible constraints for d=1")
             return vertex
 
-        # Build the pool of inequality constraints: rows of A plus -ω_i <= 0.
-        rows: List[np.ndarray] = [self.matrix[i] for i in range(self.num_constraints)]
-        bounds: List[float] = [float(self.rhs[i]) for i in range(self.num_constraints)]
-        for i in range(d):
-            row = np.zeros(d)
-            row[i] = -1.0
-            rows.append(row)
-            bounds.append(0.0)
-
-        pool = np.asarray(rows)
-        pool_rhs = np.asarray(bounds)
-        ones = np.ones((1, d))
+        # The pool of inequality constraints: rows of A plus -ω_i <= 0
+        # (``np.diag`` keeps +0.0 off the diagonal; ``-np.eye`` has -0.0).
+        pool = np.vstack([self.matrix, np.diag(np.full(d, -1.0))])
+        pool_rhs = np.concatenate([self.rhs, np.zeros(d)])
+        subsets = itertools.combinations(range(pool.shape[0]), d - 1)
+        per_block = max(1, _CHUNK_BUDGET // (d * d))
 
         candidates: List[np.ndarray] = []
-        for subset in itertools.combinations(range(len(rows)), d - 1):
-            system = np.vstack([ones, pool[list(subset)]])
-            rhs = np.concatenate([[1.0], pool_rhs[list(subset)]])
-            try:
-                solution = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(solution)):
-                continue
-            if self.feasible(solution):
-                candidates.append(solution)
+        while True:
+            block = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.islice(subsets, per_block)),
+                dtype=np.intp).reshape(-1, d - 1)
+            if not block.shape[0]:
+                break
+            systems = np.empty((block.shape[0], d, d))
+            systems[:, 0] = 1.0
+            systems[:, 1:] = pool[block]
+            rhs = np.empty((block.shape[0], d, 1))
+            rhs[:, 0] = 1.0
+            rhs[:, 1:, 0] = pool_rhs[block]
+            # Singular systems make slogdet take log(0), and non-finite
+            # solutions (masked out below) meet inf - inf in the checks.
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                regular = np.linalg.slogdet(systems)[0] != 0
+                solutions = np.linalg.solve(systems[regular],
+                                            rhs[regular])[..., 0]
+                keep = np.isfinite(solutions).all(axis=1)
+                keep &= ~(solutions < -_FEASIBILITY_ATOL).any(axis=1)
+                keep &= ~(np.abs(solutions.sum(axis=1) - 1.0)
+                          > _FEASIBILITY_ATOL)
+                if self.num_constraints:
+                    # One matrix-vector product per solution (``gemv``, as
+                    # in :meth:`feasible`); one ``gemm`` rounds differently.
+                    products = np.matmul(self.matrix, solutions[..., None])
+                    keep &= ~(products[..., 0]
+                              > self.rhs + _FEASIBILITY_ATOL).any(axis=1)
+            candidates.append(solutions[keep])
 
-        if not candidates:
+        vertices = np.concatenate(candidates)
+        if not vertices.shape[0]:
             raise ValueError("the preference region is empty "
                              "(infeasible constraint system)")
-        return _deduplicate(np.asarray(candidates))
+        return _deduplicate(vertices)
 
     def preference_region(self) -> PreferenceRegion:
         """Vertex enumeration wrapped into a :class:`PreferenceRegion`."""
@@ -335,12 +364,14 @@ class WeightRatioConstraints:
         weight ``ω = (r, 1) / (sum(r) + 1)`` (the normalisation used in the
         proof of Lemma 1).
         """
-        vertices = []
-        for k in range(self.num_rectangle_vertices()):
-            ratios = self.rectangle_vertex(k)
-            weight = np.concatenate([ratios, [1.0]])
-            vertices.append(weight / weight.sum())
-        return _deduplicate(np.asarray(vertices))
+        d_minus_1 = self.dimension - 1
+        # Bit i of k (most significant first) selects h_i over l_i, as in
+        # :meth:`rectangle_vertex`.
+        codes = np.arange(self.num_rectangle_vertices())[:, None]
+        bits = (codes >> np.arange(d_minus_1 - 1, -1, -1)) & 1
+        weights = np.ones((codes.shape[0], d_minus_1 + 1))
+        weights[:, :-1] = np.where(bits == 1, self.highs, self.lows)
+        return _deduplicate(weights / weights.sum(axis=1, keepdims=True))
 
     def preference_region(self) -> PreferenceRegion:
         return PreferenceRegion(self.enumerate_vertices())
@@ -370,12 +401,26 @@ class WeightRatioConstraints:
 
 def _deduplicate(vertices: np.ndarray,
                  atol: float = _FEASIBILITY_ATOL) -> np.ndarray:
-    """Remove (near-)duplicate rows while keeping a stable order."""
-    unique: List[np.ndarray] = []
-    for row in vertices:
-        if not any(np.allclose(row, kept, atol=atol) for kept in unique):
-            unique.append(row)
-    return np.asarray(unique)
+    """Remove (near-)duplicate rows while keeping a stable order.
+
+    A row is kept unless it is ``np.allclose`` (``atol``, default
+    ``rtol``) to an earlier kept row.  Exact repeats can never be kept, so
+    ``np.unique`` drops them first (keeping first occurrences in order);
+    the closeness test then runs on the few distinct rows, in row chunks
+    bounded by ``_CHUNK_BUDGET``.
+    """
+    _, first = np.unique(vertices, axis=0, return_index=True)
+    rows = vertices[np.sort(first)]
+    count, width = rows.shape
+    chunk = max(1, _CHUNK_BUDGET // (count * width))
+    keep = np.zeros(count, dtype=bool)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        close = np.isclose(rows[start:stop, None, :], rows[None, :stop, :],
+                           atol=atol).all(axis=2)
+        for i in range(start, stop):
+            keep[i] = not close[i - start, :i][keep[:i]].any()
+    return rows[keep]
 
 
 def resolve_preference_region(constraints) -> PreferenceRegion:

@@ -9,8 +9,13 @@ collector around every timed run with :func:`collect_phases`.
 When no collector is active, :func:`phase` is a no-op beyond one global
 check, so algorithms annotate their phases unconditionally without taxing
 ordinary callers.  Phases are flat, top-level sections of one algorithm
-run — nested ``phase`` blocks would be attributed to both names — and the
-collector is process-global (the whole repository is single-threaded).
+run — nested ``phase`` blocks would be attributed to both names.
+
+The collector is process-global, not per thread: while one is active, a
+phase recorded by any thread of the process (the serving daemon's compute
+thread included) lands in it, and phases recorded in worker processes are
+never collected.  The bench harness, its only user, times one cell at a
+time from one thread.
 """
 
 from __future__ import annotations

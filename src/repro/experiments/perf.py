@@ -39,8 +39,9 @@ Per-phase timing
 ----------------
 Algorithms that annotate their preprocessing/query split with
 :func:`repro.core.profiling.phase` (currently B&B's static-index build vs.
-traversal and DUAL's forest build vs. query) get a ``phases_s`` mapping in
-their cells — per-phase medians next to the headline ``median_s`` — so an
+traversal and DUAL's forest build vs. query, plus the constraint ``setup``
+of B&B and of every algorithm built on ``build_score_space``) get a
+``phases_s`` mapping in their cells — per-phase medians next to the headline ``median_s`` — so an
 index-layer regression is attributable without re-profiling.
 
 Sharded cells

@@ -236,7 +236,7 @@ class TestExecutionFlags:
     @pytest.mark.faults
     def test_arsp_reports_recovery_in_the_summary_line(self, capsys,
                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "crash:shard=1,attempt=1")
+        monkeypatch.setenv("REPRO_FAULTS", "crash:shard=1,attempt=1,after=0")
         code = main(["arsp", "--objects", "16", "--instances", "2",
                      "--dimension", "3", "--algorithm", "kdtt+",
                      "--workers", "2", "--backend", "process",

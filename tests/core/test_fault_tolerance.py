@@ -69,7 +69,7 @@ class TestCrashRecovery:
         injected = kdtree_traversal_arsp(
             dataset, constraints, workers=workers, backend="process",
             policy=_policy(fault_plan=FaultPlan.from_spec(
-                "crash:shard=1,attempt=1")))
+                "crash:shard=1,attempt=1,after=0")))
         assert _fingerprint(injected) == _fingerprint(reference)
 
         report = injected.execution

@@ -33,6 +33,13 @@ class TestFaultRule:
     def test_spec_roundtrip(self):
         rule = FaultRule(kind="hang", shard=3, attempt=2, seconds=1.5)
         assert FaultPlan.from_spec(rule.to_spec()).rules == (rule,)
+        gated = FaultRule(kind="crash", shard=1, after=0)
+        assert FaultPlan.from_spec(gated.to_spec()).rules == (gated,)
+
+    @pytest.mark.parametrize("after", [-1, 2])
+    def test_after_must_name_another_shard(self, after):
+        with pytest.raises(ValueError, match="after"):
+            FaultRule(kind="crash", shard=2, after=after)
 
 
 class TestFaultPlan:
@@ -58,6 +65,25 @@ class TestFaultPlan:
         "crash=shard:0",              # malformed layout
     ])
     def test_malformed_specs_raise(self, spec):
+        with pytest.raises(ValueError):
+            FaultPlan.from_spec(spec)
+
+    def test_after_field_belongs_to_the_matching_task_rule(self):
+        plan = FaultPlan.from_spec("crash:shard=1,attempt=1,after=0;"
+                                   "hang:shard=2,attempt=2,seconds=1,after=1")
+        assert [rule.after for rule in plan.rules] == [0, 1]
+        assert plan.task_rule(shard=1, attempt=1).after == 0
+        assert plan.task_rule(shard=1, attempt=2) is None
+        assert plan.task_rule(shard=2, attempt=2).after == 1
+        assert FaultPlan.from_spec("crash:shard=1").task_rule(1, 1).after \
+            is None
+
+    @pytest.mark.parametrize("spec", [
+        "crash:shard=1,after=x",      # non-integer
+        "crash:shard=1,after=1",      # gated on itself
+        "init:generation=0,after=1",  # pool faults are not per-task
+    ])
+    def test_malformed_after_fields_raise(self, spec):
         with pytest.raises(ValueError):
             FaultPlan.from_spec(spec)
 
@@ -114,3 +140,33 @@ class TestApplyTaskFault:
         plan = FaultPlan.from_spec("crash:shard=1;hang:shard=2")
         apply_task_fault(plan, shard=0, attempt=1)
         apply_task_fault(None, shard=1, attempt=1)
+
+
+class TestSubmissionGate:
+    """The supervisor's side of ``after=``: which pending shard goes next
+    (no pool is spawned here)."""
+
+    def _supervisor(self, spec):
+        from repro.core.backend import ExecutionPolicy, _ShardSupervisor
+
+        policy = ExecutionPolicy(fault_plan=FaultPlan.from_spec(spec))
+        return _ShardSupervisor([(0, 1), (1, 2), (2, 3)], fn=None,
+                                constraints=None, options={}, payload=None,
+                                context=None, processes=3, policy=policy,
+                                report=None)
+
+    def test_gated_shard_waits_for_its_prerequisite(self):
+        supervisor = self._supervisor("crash:shard=1,attempt=1,after=0")
+        assert supervisor._next_pending() == 0
+        supervisor.in_flight["shard-0"] = (0, 0.0)
+        assert supervisor._next_pending() == 2
+        assert supervisor._next_pending() is None
+        del supervisor.in_flight["shard-0"]
+        supervisor.done[0] = True
+        assert supervisor._next_pending() == 1
+
+    def test_a_gate_nothing_can_open_is_ignored(self):
+        supervisor = self._supervisor("crash:shard=0,attempt=1,after=2;"
+                                      "crash:shard=2,attempt=1,after=0")
+        supervisor.pending.remove(1)
+        assert supervisor._next_pending() == 0
