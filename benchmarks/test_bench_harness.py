@@ -12,18 +12,16 @@ behind the ``bench`` marker (``pytest -m bench``).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms.registry import (PARALLEL_ALGORITHMS, list_algorithms,
                                        supports_workers)
 from repro.experiments.perf import (EXTRA_PATHS, HIT_RATE_TOLERANCE,
-                                    PROFILES, SCHEMA, SCHEMA_V1,
-                                    SCHEMA_V2, SCHEMA_V3, SCHEMA_V4,
-                                    SCHEMA_V5, SCHEMA_V6, SCHEMA_V7,
-                                    compare_payloads,
+                                    PROFILES, SCHEMA, compare_payloads,
                                     format_bench, format_compare, load_bench,
-                                    run_bench, upgrade_payload)
+                                    run_bench)
 from repro.experiments.workloads import (VARIANTS, available_workloads,
                                          variant_for_algorithm)
 
@@ -100,109 +98,35 @@ def test_quick_profile_covers_extra_paths(quick_bench_payload):
 
 
 def test_json_output_round_trips(quick_bench_payload):
-    """The v2 schema survives the write → load_bench → compare loop."""
+    """The current schema survives the write → load_bench → compare loop."""
     payload, output = quick_bench_payload
     on_disk = json.loads(output.read_text(encoding="utf-8"))
     assert on_disk == json.loads(json.dumps(payload))
     assert load_bench(str(output)) == on_disk
 
 
-def test_v1_payloads_are_upgraded():
-    v1 = {
-        "schema": SCHEMA_V1,
-        "profile": "default",
-        "reference_algorithm": "kdtt+",
-        "workloads": {
-            "synthetic-wr": {"constraints": "WR(c=3)", "num_objects": 192,
-                             "num_instances": 500, "dimension": 4},
-            "eclipse-ind": {"num_points": 1024, "dimension": 3},
-        },
-        "algorithms": {
-            "kdtt+": {"workload": "synthetic-wr", "repeats": 5,
-                      "runs_s": [0.01], "median_s": 0.01, "min_s": 0.01,
-                      "arsp_size": 39, "parity": "ok"},
-        },
-        "extras": {
-            "eclipse-quad": {"workload": "eclipse-ind", "repeats": 5,
-                             "runs_s": [0.02], "median_s": 0.02,
-                             "min_s": 0.02, "result_size": 3,
-                             "parity": "ok"},
-        },
-    }
-    upgraded = upgrade_payload(v1)
-    assert upgraded["schema"] == SCHEMA
-    assert upgraded["workload_axis"] == ["ind"]
-    section = upgraded["matrix"]["ind"]
-    assert section["kind"] == "synthetic"
-    assert section["algorithms"]["kdtt+"]["variant"] == "wr"
-    assert "workload" not in section["algorithms"]["kdtt+"]
-    assert section["datasets"]["wr"]["num_objects"] == 192
-    assert upgraded["extras"] == v1["extras"]
-    assert upgraded["extra_workloads"] == {"eclipse-ind":
-                                           v1["workloads"]["eclipse-ind"]}
-    # The v1 path rides the v2 upgrade too: phase fields appear empty.
-    assert section["algorithms"]["kdtt+"]["phases_s"] == {}
-    # Idempotent on current payloads, loud on unknown schemas.
-    assert upgrade_payload(upgraded) is upgraded
-    with pytest.raises(ValueError, match="schema"):
-        upgrade_payload({"schema": "repro-bench/99"})
+@pytest.mark.parametrize("schema", ["repro-bench/%d" % version
+                                    for version in (1, 2, 3, 4, 5, 6, 7, 99)])
+def test_load_bench_rejects_other_schemas(schema, tmp_path):
+    """Payloads of any other schema are refused by name, not translated."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"schema": schema, "matrix": {}}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_bench(str(path))
+    message = str(excinfo.value)
+    assert message.startswith(str(path))
+    assert repr(schema) in message and repr(SCHEMA) in message
 
 
-def test_v2_payloads_gain_empty_phase_fields():
-    v2 = {
-        "schema": SCHEMA_V2,
-        "profile": "default",
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres",
-            "datasets": {"wr": {"num_objects": 192}},
-            "algorithms": {
-                "kdtt+": {"variant": "wr", "repeats": 5, "runs_s": [0.01],
-                          "median_s": 0.01, "min_s": 0.01, "arsp_size": 39,
-                          "parity": "ok"},
-            },
-        }},
-        "extras": {},
-        "extra_workloads": {},
-    }
-    upgraded = upgrade_payload(v2)
-    assert upgraded["schema"] == SCHEMA
-    entry = upgraded["matrix"]["ind"]["algorithms"]["kdtt+"]
-    assert entry["phases_s"] == {}
-    # The original payload is not mutated by the upgrade.
-    assert "phases_s" not in v2["matrix"]["ind"]["algorithms"]["kdtt+"]
-
-
-def test_v3_payloads_gain_workers_fields():
-    """The v3 → v4 upgrade path: serial ``workers`` fields everywhere."""
-    v3 = {
-        "schema": SCHEMA_V3,
-        "profile": "default",
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres",
-            "datasets": {"wr": {"num_objects": 192}},
-            "algorithms": {
-                "kdtt+": {"variant": "wr", "repeats": 5, "runs_s": [0.01],
-                          "median_s": 0.01, "min_s": 0.01, "arsp_size": 39,
-                          "phases_s": {}, "parity": "ok"},
-            },
-        }},
-        "extras": {},
-        "extra_workloads": {},
-    }
-    upgraded = upgrade_payload(v3)
-    assert upgraded["schema"] == SCHEMA
-    assert upgraded["workers"] == 1
-    entry = upgraded["matrix"]["ind"]["algorithms"]["kdtt+"]
-    assert entry["workers"] == 1
-    # The original payload is not mutated by the upgrade.
-    assert "workers" not in v3
-    assert "workers" not in v3["matrix"]["ind"]["algorithms"]["kdtt+"]
-    # The older upgrade chains ride through to v4 as well.
-    assert upgrade_payload({**v3, "schema": SCHEMA_V2})["workers"] == 1
+def test_load_bench_reads_the_committed_baseline():
+    path = Path(__file__).resolve().parents[1] / "BENCH_arsp.json"
+    payload = load_bench(str(path))
+    assert payload["schema"] == SCHEMA == "repro-bench/8"
+    assert set(payload["workload_axis"]) <= set(available_workloads())
+    assert "[stream]" in format_bench(payload)
+    _, regressions = compare_payloads(payload, payload)
+    assert not regressions
 
 
 @pytest.mark.parallel
@@ -421,88 +345,6 @@ def test_full_matrix_parity_sweep():
             assert entry["parity"] == "ok", (workload_name, name)
 
 
-def test_v4_payloads_gain_execution_fields():
-    """The v4 -> v5 upgrade path: empty execution reports everywhere."""
-    v4 = {
-        "schema": SCHEMA_V4,
-        "profile": "default",
-        "workers": 2,
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres",
-            "datasets": {"wr": {"num_objects": 192}},
-            "algorithms": {
-                "kdtt+": {"variant": "wr", "repeats": 5, "workers": 2,
-                          "runs_s": [0.01], "median_s": 0.01, "min_s": 0.01,
-                          "arsp_size": 39, "phases_s": {}, "parity": "ok"},
-            },
-        }},
-        "extras": {},
-        "extra_workloads": {},
-    }
-    upgraded = upgrade_payload(v4)
-    assert upgraded["schema"] == SCHEMA
-    assert upgraded["backend"] is None
-    entry = upgraded["matrix"]["ind"]["algorithms"]["kdtt+"]
-    assert entry["execution"] is None
-    # The pre-v5 fields survive untouched and the input is not mutated.
-    assert entry["workers"] == 2
-    assert "backend" not in v4
-    assert "execution" not in v4["matrix"]["ind"]["algorithms"]["kdtt+"]
-    # Older schemas ride the whole chain up to v5.
-    v3 = {**v4, "schema": SCHEMA_V3}
-    del v3["workers"]
-    chained = upgrade_payload(v3)
-    assert chained["schema"] == SCHEMA
-    assert chained["matrix"]["ind"]["algorithms"]["kdtt+"]["execution"] \
-        is None
-
-
-def test_v5_payloads_gain_serve_and_cache_fields():
-    """The v5 -> v6 upgrade path: empty serve section, null cache stats."""
-    v5 = {
-        "schema": SCHEMA_V5,
-        "profile": "default",
-        "workers": 1,
-        "backend": None,
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres",
-            "datasets": {"wr": {"num_objects": 192}},
-            "algorithms": {
-                "kdtt+": {"variant": "wr", "repeats": 5, "workers": 1,
-                          "runs_s": [0.01], "median_s": 0.01, "min_s": 0.01,
-                          "arsp_size": 39, "phases_s": {}, "execution": None,
-                          "parity": "ok"},
-            },
-        }},
-        "extras": {},
-        "extra_workloads": {},
-    }
-    upgraded = upgrade_payload(v5)
-    assert upgraded["schema"] == SCHEMA
-    assert upgraded["serve"] == {}
-    entry = upgraded["matrix"]["ind"]["algorithms"]["kdtt+"]
-    assert entry["cache"] is None
-    # The pre-v6 fields survive untouched and the input is not mutated.
-    assert entry["execution"] is None
-    assert "serve" not in v5
-    assert "cache" not in v5["matrix"]["ind"]["algorithms"]["kdtt+"]
-    # Older schemas ride the whole chain up to v6.
-    v3 = {**v5, "schema": SCHEMA_V3}
-    del v3["workers"], v3["backend"]
-    chained = upgrade_payload(v3)
-    assert chained["schema"] == SCHEMA
-    assert chained["serve"] == {}
-    assert chained["matrix"]["ind"]["algorithms"]["kdtt+"]["cache"] is None
-    # An upgraded payload compares cleanly against a fresh v6 baseline
-    # (the serve comparison skips the absent modes instead of crashing).
-    _, regressions = compare_payloads(upgraded, upgraded)
-    assert not regressions
-
-
 @pytest.mark.serve
 def test_serve_section_measures_warm_vs_cold(quick_bench_payload):
     """The quick profile's serve section: parity-checked, cache-hitting
@@ -591,105 +433,6 @@ def test_serve_daemon_smoke():
         process.stderr.close()
 
 
-def test_v6_payloads_gain_an_empty_stream_section():
-    """The v6 -> v7 upgrade path: pre-scenario payloads read cleanly and
-    compare without tripping the stream hit-rate gate."""
-    v6 = {
-        "schema": SCHEMA_V6,
-        "profile": "default",
-        "workers": 1,
-        "backend": None,
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres",
-            "datasets": {"wr": {"num_objects": 192}},
-            "algorithms": {
-                "kdtt+": {"variant": "wr", "repeats": 5, "workers": 1,
-                          "runs_s": [0.01], "median_s": 0.01, "min_s": 0.01,
-                          "arsp_size": 39, "phases_s": {}, "execution": None,
-                          "cache": None, "parity": "ok"},
-            },
-        }},
-        "extras": {},
-        "extra_workloads": {},
-        "serve": {},
-    }
-    upgraded = upgrade_payload(v6)
-    assert upgraded["schema"] == SCHEMA
-    assert upgraded["stream"] == {}
-    # The input is not mutated, and older schemas ride the whole chain.
-    assert "stream" not in v6
-    v3 = {**v6, "schema": SCHEMA_V3}
-    del v3["workers"], v3["backend"], v3["serve"]
-    chained = upgrade_payload(v3)
-    assert chained["schema"] == SCHEMA
-    assert chained["stream"] == {} and chained["serve"] == {}
-    # A v6 baseline has no stream cells or hit rate: reported as missing,
-    # never flagged.
-    _, regressions = compare_payloads(upgraded, upgraded)
-    assert not regressions
-
-
-def test_v7_payloads_gain_a_post_delta_hit_rate():
-    """The v7 -> v8 upgrade path: pre-retention payloads read cleanly,
-    their warm stream entry gains ``post_delta_hit_rate: 0.0`` (the v7
-    serving layer cleared its cache on every delta, so the rate was
-    genuinely zero), and comparing against them gates the new counter."""
-    v7 = {
-        "schema": SCHEMA_V7,
-        "profile": "default",
-        "workers": 1,
-        "backend": None,
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres",
-            "datasets": {"wr": {"num_objects": 192}},
-            "algorithms": {
-                "kdtt+": {"variant": "wr", "repeats": 5, "workers": 1,
-                          "runs_s": [0.01], "median_s": 0.01, "min_s": 0.01,
-                          "arsp_size": 39, "phases_s": {}, "execution": None,
-                          "cache": None, "parity": "ok"},
-            },
-        }},
-        "extras": {},
-        "extra_workloads": {},
-        "serve": {},
-        "stream": {
-            "workload": {"scenario": "bench-default"},
-            "warm": {"runs_s": [0.01], "median_s": 0.01, "min_s": 0.01,
-                     "repeats": 1, "hit_rate": 0.25,
-                     "cache": {"hits": 3, "misses": 9}, "coalesced": 0},
-        },
-    }
-    upgraded = upgrade_payload(v7)
-    assert upgraded["schema"] == SCHEMA
-    assert upgraded["stream"]["warm"]["post_delta_hit_rate"] == 0.0
-    assert upgraded["stream"]["warm"]["hit_rate"] == 0.25
-    # The input is not mutated, and empty stream sections stay empty.
-    assert "post_delta_hit_rate" not in v7["stream"]["warm"]
-    empty = {**v7, "stream": {}}
-    assert upgrade_payload(empty)["stream"] == {}
-    # Older schemas ride the whole chain up through the v7 step.
-    v3 = {key: value for key, value in v7.items()
-          if key not in ("workers", "backend", "serve", "stream")}
-    v3["schema"] = SCHEMA_V3
-    chained = upgrade_payload(v3)
-    assert chained["schema"] == SCHEMA and chained["stream"] == {}
-    # Self-comparison of the upgraded payload is clean; a current run
-    # whose retention broke back to clear-on-delta ties the 0.0 baseline
-    # (never flags), while a baseline with a real rate gates a drop.
-    _, regressions = compare_payloads(upgraded, upgraded)
-    assert not regressions
-    better = json.loads(json.dumps(upgraded))
-    better["stream"]["warm"]["post_delta_hit_rate"] = 0.5
-    _, regressions = compare_payloads(upgraded, better)
-    assert not regressions  # improvements never flag
-    _, regressions = compare_payloads(better, upgraded)
-    assert regressions == ["stream/warm:post_delta_hit_rate"]
-
-
 @pytest.mark.stream
 def test_stream_section_measures_incremental_and_warm_replays(
         quick_bench_payload):
@@ -757,6 +500,26 @@ def test_compare_gates_on_stream_hit_rate(quick_bench_payload):
     dropped["stream"]["warm"]["post_delta_hit_rate"] = 0.0
     _, regressions = compare_payloads(payload, dropped, threshold=1000.0)
     assert regressions == ["stream/warm:post_delta_hit_rate"]
+    # Against a zero-rate baseline a tie stays green and an improvement
+    # never flags.
+    _, regressions = compare_payloads(dropped, dropped, threshold=1000.0)
+    assert not regressions
+    _, regressions = compare_payloads(dropped, payload, threshold=1000.0)
+    assert not regressions
+    # A baseline without serve or stream sections (an ``--algorithms``
+    # subset run) reports those cells and rates as missing, never flags
+    # them, and comparing two such payloads skips the absent modes.
+    bare = json.loads(json.dumps(payload))
+    bare["serve"] = {}
+    bare["stream"] = {}
+    lines, regressions = compare_payloads(bare, payload, threshold=1000.0)
+    assert not regressions
+    for label in ("serve/warm", "stream/warm ",
+                  "stream/warm:post_delta_hit_rate"):
+        assert any(label in line and "no baseline" in line
+                   for line in lines), label
+    _, regressions = compare_payloads(bare, bare)
+    assert not regressions
     # Stream timing cells ride the ordinary regression gate.
     slower = json.loads(json.dumps(payload))
     slower["stream"]["incremental"]["median_s"] *= 1000.0

@@ -13,11 +13,10 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core.arsp import arsp_size, object_rskyline_probabilities
 from ..core.backend import (AlgorithmResult, ExecutionPolicy,
                             ExecutionReport, run_sharded)
 from ..core.dataset import UncertainDataset
-from ..core.numeric import PROB_ATOL, SCORE_ATOL, clamp_probability
+from ..core.numeric import PROB_ATOL, clamp_probability
 from ..core.preference import PreferenceRegion, resolve_preference_region
 from ..core.profiling import phase
 
@@ -137,32 +136,6 @@ def sharded_arsp(shard_fn: Callable, dataset: UncertainDataset, constraints,
 def finalize_result(result: Dict[int, float]) -> Dict[int, float]:
     """Clamp accumulated float noise so probabilities stay within [0, 1]."""
     return {key: clamp_probability(value) for key, value in result.items()}
-
-
-def result_arsp_size(result: Dict[int, float]) -> int:
-    """Number of instances with non-zero rskyline probability.
-
-    This is the "Size" series reported next to the running times in the
-    paper's Figures 5 and 6.  Alias of :func:`repro.core.arsp.arsp_size`,
-    which holds the canonical implementation.
-    """
-    return arsp_size(result)
-
-
-def object_probabilities(dataset: UncertainDataset,
-                         result: Dict[int, float]) -> Dict[int, float]:
-    """Aggregate instance-level ARSP into per-object rskyline probabilities.
-
-    Alias of :func:`repro.core.arsp.object_rskyline_probabilities`, which
-    holds the canonical implementation.
-    """
-    return object_rskyline_probabilities(dataset, result)
-
-
-def weak_dominates(a: np.ndarray, b: np.ndarray,
-                   atol: float = SCORE_ATOL) -> bool:
-    """Weak component-wise dominance used on score vectors."""
-    return bool(np.all(a <= b + atol))
 
 
 class SaturationTracker:

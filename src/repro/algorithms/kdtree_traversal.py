@@ -76,16 +76,6 @@ def kdtree_traversal_arsp(dataset: UncertainDataset, constraints,
                         options={"integrated": integrated}, policy=policy)
 
 
-def kdtt_plus(dataset: UncertainDataset, constraints,
-              workers: Optional[int] = None,
-              backend: Optional[str] = None,
-              policy: Optional[ExecutionPolicy] = None) -> Dict[int, float]:
-    """Convenience wrapper for the KDTT+ variant."""
-    return kdtree_traversal_arsp(dataset, constraints, integrated=True,
-                                 workers=workers, backend=backend,
-                                 policy=policy)
-
-
 def kdtt(dataset: UncertainDataset, constraints,
          workers: Optional[int] = None,
          backend: Optional[str] = None,

@@ -288,9 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "algorithm")
     bench.add_argument("--compare", default=None, metavar="BASELINE",
                        help="compare medians against a baseline "
-                            "BENCH_arsp.json (any schema version) and exit "
-                            "non-zero when a cell regresses beyond the "
-                            "threshold")
+                            "BENCH_arsp.json (schema repro-bench/8) and "
+                            "exit non-zero when a cell regresses beyond the "
+                            "threshold; the baseline must be measured on "
+                            "the same host, since timings from another "
+                            "host do not gate")
     bench.add_argument("--regression-threshold", type=float,
                        default=DEFAULT_REGRESSION_THRESHOLD,
                        help="regression factor for --compare "
@@ -635,7 +637,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(run_effectiveness())
         return 0
     if args.command == "bench":
-        text, status = run_bench_command(args)
+        try:
+            text, status = run_bench_command(args)
+        except ValueError as error:
+            # e.g. a --compare baseline that is not JSON or not this schema.
+            print("error: %s" % error, file=sys.stderr)
+            return 2
         print(text)
         return status
     parser.error("unknown command %r" % args.command)

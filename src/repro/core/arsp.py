@@ -90,9 +90,7 @@ def object_rskyline_probabilities(dataset: UncertainDataset,
                                   ) -> Dict[int, float]:
     """Aggregate instance-level ARSP into per-object probabilities.
 
-    This is the canonical implementation shared with
-    ``repro.algorithms.base.object_probabilities``; sums are clamped into
-    ``[0, 1]`` to absorb accumulated float noise.
+    Sums are clamped into ``[0, 1]`` to absorb accumulated float noise.
     """
     totals: Dict[int, float] = {obj.object_id: 0.0 for obj in dataset.objects}
     for instance in dataset.instances:

@@ -92,17 +92,11 @@ delta — the retention win of PR 10), and the three replays' stream
 fingerprints must agree byte for byte (recorded as the section's
 ``parity``).
 
-The JSON schema is ``repro-bench/8`` (adds ``post_delta_hit_rate`` to
-the warm stream entry of the ``repro-bench/7`` shape, which added the
-top-level ``stream`` section to the ``repro-bench/6`` shape of
-per-workload ``matrix`` sections with per-phase timings, ``workers``
-fields, per-cell ``execution`` summaries and ``cache`` stats, plus the
-top-level ``serve`` section); :func:`upgrade_payload` /
-:func:`load_bench` still read the ``repro-bench/7`` pre-retention
-files, the ``repro-bench/6`` pre-stream files, the ``repro-bench/5``
-pre-serving files, the ``repro-bench/4`` pre-supervision files, the
-``repro-bench/3`` pre-backend files, the ``repro-bench/2`` matrix files
-and the flat ``repro-bench/1`` files written before.
+The JSON schema is ``repro-bench/8``: per-workload ``matrix`` sections
+with per-phase timings, ``workers`` fields, per-cell ``execution``
+summaries and ``cache`` stats, plus the top-level ``serve`` and
+``stream`` sections.  :func:`load_bench` reads only that schema and
+rejects any other with a ``ValueError``.
 
 ``compare_payloads`` diffs two payloads cell by cell (``repro bench
 --compare BASELINE.json``) and flags cells whose median — or, with
@@ -141,31 +135,6 @@ from .workloads import (WORKLOAD_AXIS, Workload, WorkloadScale,
 #: Schema tag written into the JSON payload so future harness versions can
 #: evolve the format without ambiguity.
 SCHEMA = "repro-bench/8"
-
-#: The schema before delta-aware cache retention: the serving layer
-#: cleared its cache on every delta, so the warm stream entry had no
-#: ``post_delta_hit_rate`` (it was structurally zero).
-SCHEMA_V7 = "repro-bench/7"
-
-#: The schema before the scenario engine: no top-level ``stream`` section.
-SCHEMA_V6 = "repro-bench/6"
-
-#: The schema before the serving layer: no per-cell ``cache`` stats and no
-#: top-level ``serve`` section.
-SCHEMA_V5 = "repro-bench/5"
-
-#: The schema before the supervised scheduler: no per-cell ``execution``
-#: summaries.
-SCHEMA_V4 = "repro-bench/4"
-
-#: The schema before the execution backend: no ``workers`` fields.
-SCHEMA_V3 = "repro-bench/3"
-
-#: The matrix schema without per-phase timings.
-SCHEMA_V2 = "repro-bench/2"
-
-#: The flat single-workload schema written before the workload matrix.
-SCHEMA_V1 = "repro-bench/1"
 
 #: Default output file, written at the repository root by ``repro bench``.
 DEFAULT_OUTPUT = "BENCH_arsp.json"
@@ -680,203 +649,27 @@ def run_bench(profile: str = "default",
 
 
 # ----------------------------------------------------------------------
-# Reading payloads (current and historical schemas)
+# Reading payloads
 # ----------------------------------------------------------------------
 
-#: v1 workload keys -> v2 variant keys.
-_V1_VARIANTS = {
-    "synthetic-wr": "wr",
-    "synthetic-ratio": "ratio",
-    "synthetic-ratio-2d": "ratio-2d",
-    "synthetic-tiny-wr": "tiny-wr",
-}
-
-#: v1 keys of the extras workload descriptors (everything else under the
-#: v1 ``workloads`` mapping belongs to the registered algorithms).
-_V1_EXTRA_WORKLOADS = ("eclipse-ind", "continuous-boxes")
-
-
-def upgrade_payload(payload: Dict[str, object]) -> Dict[str, object]:
-    """Return a ``repro-bench/7`` view of any known payload version.
-
-    ``repro-bench/1`` files carried a single flat ``algorithms`` section
-    measured on the default IND workload; they pass through the matrix
-    upgrade first.  ``repro-bench/2`` matrix files predate the per-phase
-    timings; their algorithm entries gain empty ``phases_s`` mappings.
-    ``repro-bench/3`` files predate the execution backend; they gain
-    ``workers: 1`` at the top level and in every matrix cell (everything
-    before the backend was serial by construction).  ``repro-bench/4``
-    files predate the supervised scheduler; they gain ``backend: None``
-    at the top level and ``execution: None`` in every matrix cell (no
-    execution reports were recorded).  ``repro-bench/5`` files predate
-    the serving layer; they gain ``cache: None`` in every matrix cell and
-    an empty top-level ``serve`` section (no serve workload was
-    measured).  ``repro-bench/6`` files predate the scenario engine; they
-    gain an empty top-level ``stream`` section (no stream replay was
-    measured).  ``repro-bench/7`` files predate delta-aware cache
-    retention; their warm stream entry gains
-    ``post_delta_hit_rate: 0.0`` (the serving layer cleared its cache on
-    every delta, so the rate genuinely was zero).  Downstream consumers
-    only ever see the v8 shape; current payloads are returned unchanged.
-    """
-    schema = payload.get("schema")
-    if schema == SCHEMA:
-        return payload
-    if schema == SCHEMA_V1:
-        payload = _upgrade_v1(payload)
-        schema = SCHEMA_V2
-    if schema == SCHEMA_V2:
-        payload = _upgrade_v2(payload)
-        schema = SCHEMA_V3
-    if schema == SCHEMA_V3:
-        payload = _upgrade_v3(payload)
-        schema = SCHEMA_V4
-    if schema == SCHEMA_V4:
-        payload = _upgrade_v4(payload)
-        schema = SCHEMA_V5
-    if schema == SCHEMA_V5:
-        payload = _upgrade_v5(payload)
-        schema = SCHEMA_V6
-    if schema == SCHEMA_V6:
-        payload = _upgrade_v6(payload)
-        schema = SCHEMA_V7
-    if schema != SCHEMA_V7:
-        raise ValueError("unknown bench payload schema %r" % (schema,))
-    return _upgrade_v7(payload)
-
-
-def _upgrade_v1(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/1`` (flat IND section) -> ``repro-bench/2`` (matrix)."""
-    v1_workloads = dict(payload.get("workloads", {}))
-    extra_workloads = {key: v1_workloads.pop(key)
-                       for key in _V1_EXTRA_WORKLOADS
-                       if key in v1_workloads}
-    datasets = {}
-    for key, meta in v1_workloads.items():
-        meta = dict(meta)
-        variant = _V1_VARIANTS.get(key, key)
-        datasets[variant] = meta
-    entries = {}
-    for name, entry in dict(payload.get("algorithms", {})).items():
-        entry = dict(entry)
-        workload_key = entry.pop("workload", "synthetic-wr")
-        entry["variant"] = _V1_VARIANTS.get(workload_key, workload_key)
-        entries[name] = entry
-
-    upgraded = {key: value for key, value in payload.items()
-                if key not in ("schema", "workloads", "algorithms",
-                               "extras")}
-    upgraded.update({
-        "schema": SCHEMA_V2,
-        "workload_axis": ["ind"],
-        "matrix": {"ind": {
-            "kind": "synthetic",
-            "description": "synthetic, independent centres "
-                           "(upgraded from %s)" % SCHEMA_V1,
-            "datasets": datasets,
-            "algorithms": entries,
-        }},
-        "extras": payload.get("extras", {}),
-        "extra_workloads": extra_workloads,
-    })
-    return upgraded
-
-
-def _upgrade_v2(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/2`` -> ``repro-bench/3``: empty per-phase timings."""
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA_V3
-    matrix = {}
-    for workload_name, section in dict(payload.get("matrix", {})).items():
-        section = dict(section)
-        section["algorithms"] = {
-            name: dict(entry, phases_s=dict(entry.get("phases_s", {})))
-            for name, entry in dict(section.get("algorithms", {})).items()}
-        matrix[workload_name] = section
-    upgraded["matrix"] = matrix
-    return upgraded
-
-
-def _upgrade_v3(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/3`` -> ``repro-bench/4``: serial ``workers`` fields."""
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA_V4
-    upgraded.setdefault("workers", 1)
-    matrix = {}
-    for workload_name, section in dict(payload.get("matrix", {})).items():
-        section = dict(section)
-        section["algorithms"] = {
-            name: dict(entry, workers=entry.get("workers", 1))
-            for name, entry in dict(section.get("algorithms", {})).items()}
-        matrix[workload_name] = section
-    upgraded["matrix"] = matrix
-    return upgraded
-
-
-def _upgrade_v4(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/4`` -> ``repro-bench/5``: empty execution reports."""
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA_V5
-    upgraded.setdefault("backend", None)
-    matrix = {}
-    for workload_name, section in dict(payload.get("matrix", {})).items():
-        section = dict(section)
-        section["algorithms"] = {
-            name: dict(entry, execution=entry.get("execution"))
-            for name, entry in dict(section.get("algorithms", {})).items()}
-        matrix[workload_name] = section
-    upgraded["matrix"] = matrix
-    return upgraded
-
-
-def _upgrade_v5(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/5`` -> ``repro-bench/6``: no cache stats, no serve."""
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA_V6
-    upgraded.setdefault("serve", {})
-    matrix = {}
-    for workload_name, section in dict(payload.get("matrix", {})).items():
-        section = dict(section)
-        section["algorithms"] = {
-            name: dict(entry, cache=entry.get("cache"))
-            for name, entry in dict(section.get("algorithms", {})).items()}
-        matrix[workload_name] = section
-    upgraded["matrix"] = matrix
-    return upgraded
-
-
-def _upgrade_v6(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/6`` -> ``repro-bench/7``: no stream section."""
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA_V7
-    upgraded.setdefault("stream", {})
-    return upgraded
-
-
-def _upgrade_v7(payload: Dict[str, object]) -> Dict[str, object]:
-    """``repro-bench/7`` -> ``repro-bench/8``: no post-delta hit rate.
-
-    The v7 serving layer cleared its cross-query cache on every delta,
-    so the post-delta warm hit rate was zero by construction — recorded
-    as exactly that, not as missing, so ``--compare`` against an old
-    baseline still gates the new counter (any nonzero current rate
-    clears a 0.0 baseline).
-    """
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA
-    stream = dict(upgraded.get("stream") or {})
-    if stream.get("warm"):
-        warm = dict(stream["warm"])
-        warm.setdefault("post_delta_hit_rate", 0.0)
-        stream["warm"] = warm
-    upgraded["stream"] = stream
-    return upgraded
-
-
 def load_bench(path: str) -> Dict[str, object]:
-    """Read a ``BENCH_arsp.json`` file of any known schema version."""
+    """Read a ``BENCH_arsp.json`` file of the current schema.
+
+    Raises ``ValueError``, its message starting with ``path``, when the
+    file is not JSON or carries any schema other than :data:`SCHEMA`.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return upgrade_payload(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as error:
+            raise ValueError("%s: not a JSON bench payload (%s)"
+                             % (path, error)) from error
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != SCHEMA:
+        raise ValueError("%s: bench payload schema %r, expected %r "
+                         "(re-measure the baseline with this version)"
+                         % (path, schema, SCHEMA))
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -904,7 +697,7 @@ def compare_payloads(baseline: Dict[str, object],
                      ) -> Tuple[List[str], List[str]]:
     """Per-cell timing deltas between two bench payloads.
 
-    Both payloads may be of any known schema version.  Returns
+    Both payloads carry the current schema.  Returns
     ``(lines, regressions)``: ``lines`` is the printable per-cell report
     over every cell of ``current`` (matrix and extras), ``regressions``
     the subset of cell names whose ``statistic`` (``median`` or the
@@ -925,8 +718,6 @@ def compare_payloads(baseline: Dict[str, object],
                          % (statistic,
                             ", ".join(sorted(COMPARE_STATISTICS))))
     field = COMPARE_STATISTICS[statistic]
-    baseline = upgrade_payload(baseline)
-    current = upgrade_payload(current)
     baseline_matrix = baseline.get("matrix", {})
     lines: List[str] = []
     regressions: List[str] = []
@@ -1090,7 +881,6 @@ def _format_entry(width: int, name: str, entry: Dict[str, object],
 
 def format_bench(payload: Dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_bench` payload."""
-    payload = upgrade_payload(payload)
     matrix = payload["matrix"]
     extras = payload.get("extras") or {}
     names = [name for section in matrix.values()

@@ -6,19 +6,18 @@ Everything here is implemented from scratch on top of numpy arrays:
   queries driven by caller-supplied node classifiers (used by the DUAL
   algorithms and the eclipse DUAL-S algorithm).
 * :mod:`repro.index.quadtree` — a region quadtree (used by the QUAD eclipse
-  baseline and available to the quadtree-traversal experiments).
-* :mod:`repro.index.rtree` — aggregated R-trees supporting STR bulk
-  loading, incremental insertion and window aggregate queries (used by the
-  branch-and-bound algorithm): the pointer-based :class:`RTree` scalar
-  reference, the struct-of-arrays :class:`FlatRTree` with batched
-  level-order traversals, and the :class:`RTreeForest` packing all
-  per-object trees into one shared array block.
+  baseline).
+* :mod:`repro.index.rtree` — aggregated R-trees with window aggregate
+  queries, used by the branch-and-bound algorithm: the struct-of-arrays
+  :class:`FlatRTree` (STR bulk load, batched level-order traversals) is
+  its static index, and the insert-only :class:`RTreeForest` packs the
+  per-object trees ``R_1 … R_m`` into one shared array block.  The
+  pointer-based :class:`RTree` is the scalar reference the property tests
+  pin the flat layer against; nothing in the package calls it.
 """
 
-from .bbox import BoundingBox
 from .kdtree import KDTree
 from .quadtree import QuadTree
 from .rtree import FlatRTree, RTree, RTreeForest
 
-__all__ = ["BoundingBox", "FlatRTree", "KDTree", "QuadTree", "RTree",
-           "RTreeForest"]
+__all__ = ["FlatRTree", "KDTree", "QuadTree", "RTree", "RTreeForest"]

@@ -619,29 +619,17 @@ class RTreeForest:
         self._root_lo = np.full((self.num_trees, self.dimension), np.inf)
         self._root_hi = np.full((self.num_trees, self.dimension), -np.inf)
         self._root_weight = np.zeros(self.num_trees)
-        # Lazy-invalidation state of the delta protocol: a retired tree's
-        # flat points stay in the block (unreachable — its root view is
-        # emptied and its ``_tree_root`` detached) until a compaction
-        # rebuild drops them.
-        self._tree_dead_flat = np.zeros(self.num_trees, dtype=bool)
-        self._dead_flat_count = 0
 
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
     @property
     def num_points(self) -> int:
-        return (self._points.shape[0] - self._dead_flat_count
-                + len(self._pend_points))
+        return self._points.shape[0] + len(self._pend_points)
 
     @property
     def pending_count(self) -> int:
         return len(self._pend_points)
-
-    @property
-    def dead_count(self) -> int:
-        """Retired flat points awaiting compaction (delta bookkeeping)."""
-        return self._dead_flat_count
 
     def insert(self, tree_id: int, point: Sequence[float],
                weight: float = 1.0) -> None:
@@ -657,83 +645,20 @@ class RTreeForest:
         self._pend_cache = None
         self.sizes[tree_id] += 1
         if len(self._pend_points) > max(4 * self.max_entries,
-                                        self._points.shape[0]
-                                        - self._dead_flat_count):
+                                        self._points.shape[0]):
             self.flush()
-
-    def remove_tree(self, tree_id: int) -> None:
-        """Retire one tree: drop its pending entries, detach its flat part.
-
-        The delta protocol's *update* path: the tree's root view is
-        emptied and its node subtree detached immediately (so queries and
-        :meth:`total_weights` stop seeing it at once), but its flat points
-        stay in the shared block as dead weight until enough mass has
-        retired to warrant a compaction rebuild — the size-halving mirror
-        of :meth:`insert`'s size-doubling trigger.  The tree id stays
-        valid: later inserts to it start a fresh pending buffer.
-        """
-        if not 0 <= tree_id < self.num_trees:
-            raise ValueError("tree_id out of range")
-        if tree_id in self._pend_trees:
-            keep = [i for i, tree in enumerate(self._pend_trees)
-                    if tree != tree_id]
-            self._pend_points = [self._pend_points[i] for i in keep]
-            self._pend_trees = [self._pend_trees[i] for i in keep]
-            self._pend_weights = [self._pend_weights[i] for i in keep]
-            self._pend_cache = None
-        if not self._tree_dead_flat[tree_id]:
-            flat = int(np.count_nonzero(self._point_trees == tree_id))
-            if flat:
-                self._tree_dead_flat[tree_id] = True
-                self._dead_flat_count += flat
-        self.sizes[tree_id] = 0
-        self._root_lo[tree_id] = np.inf
-        self._root_hi[tree_id] = -np.inf
-        self._root_weight[tree_id] = 0.0
-        self._tree_root[tree_id] = -1
-        if self._dead_flat_count * 2 > self._points.shape[0]:
-            self.flush()
-
-    def replace_tree(self, tree_id: int, points: np.ndarray,
-                     weights: Optional[Sequence[float]] = None) -> None:
-        """Swap one tree's whole point set (the delta *update* operation)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if weights is None:
-            weights = np.ones(points.shape[0])
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape[0] != points.shape[0]:
-            raise ValueError("one weight per replacement point required")
-        self.remove_tree(tree_id)
-        for point, weight in zip(points, weights):
-            self.insert(tree_id, point, float(weight))
 
     def flush(self) -> None:
-        """Merge pending buffers and drop retired points (full rebuild)."""
+        """Merge the pending buffers into the flat layout (full rebuild)."""
         pending = self._pending_arrays()
-        if pending is None and not self._dead_flat_count:
-            return
         if pending is None:
-            points = np.empty((0, self.dimension))
-            tree_ids = np.empty(0, dtype=int)
-            weights = np.empty(0)
-        else:
-            points, tree_ids, weights = pending
+            return
+        points, tree_ids, weights = pending
         self._pend_points, self._pend_trees, self._pend_weights = [], [], []
         self._pend_cache = None
-        flat_points, flat_weights, flat_trees = self._live_flat()
-        self._tree_dead_flat[:] = False
-        self._dead_flat_count = 0
-        self._rebuild(np.concatenate([flat_points, points]),
-                      np.concatenate([flat_weights, weights]),
-                      np.concatenate([flat_trees, tree_ids]))
-
-    def _live_flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat block minus the retired trees' dead points."""
-        if not self._dead_flat_count:
-            return self._points, self._point_weights, self._point_trees
-        keep = ~self._tree_dead_flat[self._point_trees]
-        return (self._points[keep], self._point_weights[keep],
-                self._point_trees[keep])
+        self._rebuild(np.concatenate([self._points, points]),
+                      np.concatenate([self._point_weights, weights]),
+                      np.concatenate([self._point_trees, tree_ids]))
 
     def _pending_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]]:

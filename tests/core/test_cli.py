@@ -116,6 +116,30 @@ class TestCommands:
         assert code == 0
         assert not (tmp_path / "BENCH_arsp.json").exists()
 
+    @pytest.mark.parametrize("content", [
+        json.dumps({"schema": "repro-bench/7", "matrix": {}}),
+        "not json {",
+    ], ids=["old-schema", "not-json"])
+    def test_bench_bad_baseline_fails_before_timing(self, capsys, tmp_path,
+                                                    monkeypatch, content):
+        import repro.cli
+
+        def no_timing(**kwargs):
+            raise AssertionError("run_bench called despite a bad baseline")
+
+        monkeypatch.setattr(repro.cli, "run_bench", no_timing)
+        baseline = tmp_path / "old.json"
+        baseline.write_text(content, encoding="utf-8")
+        code = main(["bench", "--quick", "--output", "-",
+                     "--compare", str(baseline)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: %s: " % baseline)
+        assert "repro-bench/8" in lines[0] or "not a JSON" in lines[0]
+
 
 @pytest.mark.stream
 class TestStreamCommand:

@@ -257,107 +257,3 @@ class TestRTreeForest:
         with pytest.raises(ValueError):
             forest.dominance_aggregate(np.zeros((2, 2)))
 
-
-class TestForestDeltas:
-    """remove_tree / replace_tree: the delta paths of the scenario engine."""
-
-    def _filled_forest(self, seed=90, num_trees=5, points_per_tree=12):
-        rng = np.random.default_rng(seed)
-        forest = RTreeForest(num_trees=num_trees, dimension=2, max_entries=4)
-        per_tree = {}
-        for tree_id in range(num_trees):
-            pts = rng.uniform(0, 1, size=(points_per_tree, 2))
-            per_tree[tree_id] = pts
-            for point in pts:
-                forest.insert(tree_id, point, weight=0.5)
-        forest.flush()
-        return forest, per_tree, rng
-
-    def test_remove_tree_empties_its_aggregates(self):
-        forest, per_tree, rng = self._filled_forest()
-        forest.remove_tree(2)
-        assert forest.sizes[2] == 0
-        assert forest.total_weights()[2] == 0.0
-        corners = rng.uniform(0, 1, size=(6, 2))
-        sigma = forest.dominance_aggregate(corners)
-        assert np.all(sigma[:, 2] == 0.0)
-        # Other trees are untouched.
-        for tree_id in (0, 1, 3, 4):
-            pts = per_tree[tree_id]
-            for row, corner in enumerate(corners):
-                expected = 0.5 * np.count_nonzero(
-                    np.all(pts <= corner, axis=1))
-                assert sigma[row, tree_id] == pytest.approx(expected)
-
-    def test_remove_tree_drops_pending_points_too(self):
-        forest = RTreeForest(num_trees=2, dimension=2, max_entries=4)
-        forest.insert(0, [0.1, 0.1])
-        forest.insert(1, [0.2, 0.2])
-        assert forest.pending_count == 2
-        forest.remove_tree(0)
-        assert forest.pending_count == 1
-        assert forest.num_points == 1
-        sigma = forest.dominance_aggregate(np.array([[1.0, 1.0]]))
-        assert sigma[0].tolist() == [0.0, 1.0]
-
-    def test_remove_tree_is_idempotent_on_dead_count(self):
-        forest, _, _ = self._filled_forest()
-        forest.remove_tree(1)
-        dead = forest.dead_count
-        forest.remove_tree(1)
-        assert forest.dead_count == dead
-
-    def test_remove_tree_range_check(self):
-        forest = RTreeForest(num_trees=2, dimension=2)
-        with pytest.raises(ValueError):
-            forest.remove_tree(2)
-
-    def test_dead_points_compact_at_half(self):
-        """The size-halving mirror of the size-doubling insert trigger:
-        once dead flat points outnumber live ones, the flat block is
-        rebuilt without them."""
-        forest, per_tree, _ = self._filled_forest(num_trees=5,
-                                                  points_per_tree=10)
-        forest.remove_tree(0)
-        forest.remove_tree(1)
-        assert forest.dead_count > 0  # 20 dead of 50: below the trigger
-        forest.remove_tree(2)  # 30 dead of 50: compaction fires
-        assert forest.dead_count == 0
-        assert forest.num_points == 20
-
-    def test_replace_tree_matches_fresh_forest(self):
-        forest, per_tree, rng = self._filled_forest()
-        replacement = rng.uniform(0, 1, size=(7, 2))
-        forest.replace_tree(3, replacement,
-                            weights=np.full(7, 0.25))
-        corners = rng.uniform(0, 1, size=(5, 2))
-        fresh = RTreeForest(num_trees=5, dimension=2, max_entries=4)
-        for tree_id in (0, 1, 2, 4):
-            for point in per_tree[tree_id]:
-                fresh.insert(tree_id, point, weight=0.5)
-        for point in replacement:
-            fresh.insert(3, point, weight=0.25)
-        assert np.allclose(forest.dominance_aggregate(corners),
-                           fresh.dominance_aggregate(corners))
-        assert np.allclose(forest.total_weights(), fresh.total_weights())
-
-    def test_queries_identical_before_and_after_compaction(self):
-        forest, per_tree, rng = self._filled_forest(num_trees=4,
-                                                    points_per_tree=8)
-        forest.remove_tree(0)
-        corners = rng.uniform(0, 1, size=(6, 2))
-        before = forest.dominance_aggregate(corners)
-        forest.flush()  # force compaction of the dead block
-        assert forest.dead_count == 0
-        assert np.allclose(forest.dominance_aggregate(corners), before)
-
-    def test_live_insert_trigger_ignores_dead_weight(self):
-        """The size-doubling merge trigger counts live points only, so a
-        forest dominated by dead points still buffers new inserts."""
-        forest, _, _ = self._filled_forest(num_trees=5, points_per_tree=10)
-        forest.remove_tree(0)
-        forest.remove_tree(1)
-        live_flat = forest.num_points
-        forest.insert(2, [0.5, 0.5])
-        assert forest.pending_count == 1  # no premature merge
-        assert forest.num_points == live_flat + 1
