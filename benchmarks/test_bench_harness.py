@@ -119,6 +119,34 @@ def test_load_bench_rejects_other_schemas(schema, tmp_path):
     assert repr(schema) in message and repr(SCHEMA) in message
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_load_bench_names_the_path_when_unreadable(kind, tmp_path):
+    """An unreadable baseline is a ``ValueError`` naming the file, like a
+    wrong schema, so ``repro bench --compare`` reports it in one line."""
+    path = tmp_path / "absent.json"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ValueError) as excinfo:
+        load_bench(str(path))
+    message = str(excinfo.value)
+    assert message.startswith("%s: cannot read bench payload" % path)
+
+
+@pytest.mark.parametrize("document", ["[]", '"repro-bench/8"', "null",
+                                      "{}"],
+                         ids=["list", "string", "null", "no-schema"])
+def test_load_bench_rejects_json_that_is_not_a_payload(document, tmp_path):
+    """Valid JSON without a schema-carrying object is refused as having
+    no schema, never indexed into."""
+    path = tmp_path / "odd.json"
+    path.write_text(document, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_bench(str(path))
+    message = str(excinfo.value)
+    assert message.startswith(str(path))
+    assert "schema None" in message and repr(SCHEMA) in message
+
+
 def test_load_bench_reads_the_committed_baseline():
     path = Path(__file__).resolve().parents[1] / "BENCH_arsp.json"
     payload = load_bench(str(path))
@@ -274,15 +302,34 @@ def test_compare_handles_missing_baseline_cells(quick_bench_payload):
         compare_payloads(payload, payload, threshold=0.0)
 
 
-def test_cli_compare_exit_codes(quick_bench_payload, tmp_path, capsys):
-    """``repro bench --compare`` prints deltas and gates on the threshold."""
+def test_cli_compare_exit_codes(quick_bench_payload, tmp_path, capsys,
+                               monkeypatch):
+    """``repro bench --compare`` prints deltas and gates on the threshold.
+
+    The timing run is replaced by the baseline itself, so every ratio is
+    exactly 1.0: re-timed wall clock against the session baseline would
+    make the default-threshold exit code depend on the runner's load.
+    The re-timed CLI path is covered by
+    ``test_cli_compare_stat_and_phase_threshold``.
+    """
+    import repro.cli
     from repro.cli import main
 
     payload, output = quick_bench_payload
+    requests = []
+
+    def rerun(**kwargs):
+        requests.append(kwargs)
+        return json.loads(output.read_text(encoding="utf-8"))
+
+    monkeypatch.setattr(repro.cli, "run_bench", rerun)
     argv = ["bench", "--quick", "--repeats", "1", "--algorithms", "kdtt+",
             "--workloads", "ind", "--output", "-",
             "--compare", str(output)]
     assert main(argv) == 0
+    assert requests[0]["algorithms"] == ["kdtt+"]
+    assert requests[0]["workloads"] == ["ind"]
+    assert requests[0]["output_path"] is None
     assert "comparison against baseline" in capsys.readouterr().out
     # An absurdly tight threshold turns any nonzero delta into a failure.
     assert main(argv + ["--regression-threshold", "0.000001"]) == 1

@@ -656,14 +656,19 @@ def load_bench(path: str) -> Dict[str, object]:
     """Read a ``BENCH_arsp.json`` file of the current schema.
 
     Raises ``ValueError``, its message starting with ``path``, when the
-    file is not JSON or carries any schema other than :data:`SCHEMA`.
+    file cannot be read, is not JSON or carries any schema other than
+    :data:`SCHEMA`.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as error:
-            raise ValueError("%s: not a JSON bench payload (%s)"
-                             % (path, error)) from error
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                payload = json.load(handle)
+            except ValueError as error:
+                raise ValueError("%s: not a JSON bench payload (%s)"
+                                 % (path, error)) from error
+    except OSError as error:
+        raise ValueError("%s: cannot read bench payload (%s)"
+                         % (path, error.strerror or error)) from error
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA:
         raise ValueError("%s: bench payload schema %r, expected %r "

@@ -116,12 +116,16 @@ class TestCommands:
         assert code == 0
         assert not (tmp_path / "BENCH_arsp.json").exists()
 
-    @pytest.mark.parametrize("content", [
-        json.dumps({"schema": "repro-bench/7", "matrix": {}}),
-        "not json {",
-    ], ids=["old-schema", "not-json"])
+    @pytest.mark.parametrize("content, cause", [
+        (json.dumps({"schema": "repro-bench/7", "matrix": {}}),
+         "repro-bench/8"),
+        ("not json {", "not a JSON"),
+        (None, "cannot read"),
+        ("", "cannot read"),
+    ], ids=["old-schema", "not-json", "missing", "directory"])
     def test_bench_bad_baseline_fails_before_timing(self, capsys, tmp_path,
-                                                    monkeypatch, content):
+                                                    monkeypatch, content,
+                                                    cause):
         import repro.cli
 
         def no_timing(**kwargs):
@@ -129,7 +133,11 @@ class TestCommands:
 
         monkeypatch.setattr(repro.cli, "run_bench", no_timing)
         baseline = tmp_path / "old.json"
-        baseline.write_text(content, encoding="utf-8")
+        # ``None`` leaves no file at all; ``""`` puts a directory there.
+        if content == "":
+            baseline.mkdir()
+        elif content is not None:
+            baseline.write_text(content, encoding="utf-8")
         code = main(["bench", "--quick", "--output", "-",
                      "--compare", str(baseline)])
         assert code == 2
@@ -138,7 +146,7 @@ class TestCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: %s: " % baseline)
-        assert "repro-bench/8" in lines[0] or "not a JSON" in lines[0]
+        assert cause in lines[0]
 
 
 @pytest.mark.stream

@@ -257,3 +257,145 @@ class TestRTreeForest:
         with pytest.raises(ValueError):
             forest.dominance_aggregate(np.zeros((2, 2)))
 
+
+    @pytest.mark.parametrize("num_trees, dimension", [(-1, 2), (3, 0)],
+                             ids=["negative-trees", "zero-dimension"])
+    def test_rejects_bad_construction(self, num_trees, dimension):
+        with pytest.raises(ValueError):
+            RTreeForest(num_trees=num_trees, dimension=dimension)
+
+    def test_max_entries_has_a_floor_of_four(self):
+        assert RTreeForest(num_trees=1, dimension=2,
+                           max_entries=1).max_entries == 4
+        assert RTreeForest(num_trees=1, dimension=2,
+                           max_entries=9).max_entries == 9
+
+    def test_empty_forest_aggregates_to_zero(self):
+        forest = RTreeForest(num_trees=3, dimension=2)
+        sigma = forest.dominance_aggregate(np.ones((4, 2)))
+        assert sigma.shape == (4, 3)
+        assert not sigma.any()
+        assert forest.num_points == 0
+        assert not forest.total_weights().any()
+        # Neither an empty corner batch nor a forest without trees fails.
+        assert forest.dominance_aggregate(np.empty((0, 2))).shape == (0, 3)
+        treeless = RTreeForest(num_trees=0, dimension=2)
+        assert treeless.dominance_aggregate(np.ones((2, 2))).shape == (2, 0)
+
+    def test_flush_without_pending_is_a_noop(self):
+        forest = RTreeForest(num_trees=2, dimension=2, max_entries=4)
+        forest.flush()
+        assert forest.num_points == 0
+        forest.insert(1, [0.5, 0.5], weight=2.0)
+        forest.flush()
+        layout = forest._node_lo.copy(), forest._tree_root.copy()
+        forest.flush()
+        assert np.array_equal(forest._node_lo, layout[0])
+        assert np.array_equal(forest._tree_root, layout[1])
+        assert forest.dominance_aggregate([1.0, 1.0])[0, 1] == 2.0
+
+    def test_single_corner_is_one_batch_row(self):
+        forest = RTreeForest(num_trees=2, dimension=3, max_entries=4)
+        forest.insert(0, [0.2, 0.2, 0.2], weight=0.25)
+        forest.insert(1, [0.9, 0.9, 0.9], weight=0.75)
+        sigma = forest.dominance_aggregate([0.5, 0.5, 0.5])
+        assert sigma.shape == (1, 2)
+        assert sigma[0].tolist() == [0.25, 0.0]
+
+    @pytest.mark.parametrize("flush", [False, True], ids=["pending", "flat"])
+    def test_dominance_is_weak_on_every_axis(self, flush):
+        """A point equal to the corner on some axes is still dominated; one
+        strictly above it on any axis is not."""
+        forest = RTreeForest(num_trees=1, dimension=2, max_entries=4)
+        forest.insert(0, [0.5, 0.5], weight=1.0)
+        forest.insert(0, [0.5, 0.2], weight=2.0)
+        forest.insert(0, [0.5, 0.6], weight=4.0)
+        if flush:
+            forest.flush()
+        sigma = forest.dominance_aggregate([[0.5, 0.5], [0.49, 1.0],
+                                            [0.5, 0.2]])
+        assert sigma[:, 0].tolist() == [3.0, 0.0, 2.0]
+
+    def test_total_weights_sum_flat_and_pending_parts(self):
+        forest = RTreeForest(num_trees=3, dimension=2, max_entries=4)
+        for step in range(6):
+            forest.insert(step % 2, [step * 0.1, 0.0], weight=1.0)
+        forest.flush()
+        forest.insert(0, [0.9, 0.9], weight=0.5)
+        forest.insert(2, [0.9, 0.9], weight=0.25)
+        assert forest.pending_count == 2
+        assert forest.num_points == 8
+        assert forest.total_weights().tolist() == [3.5, 3.0, 0.25]
+        assert forest.sizes.tolist() == [4, 3, 1]
+
+    def test_single_leaf_and_multi_level_trees_share_one_block(self):
+        """Small trees become one leaf node, large ones splice their levels
+        into the block; both answer through the same descent."""
+        rng = np.random.default_rng(82)
+        forest = RTreeForest(num_trees=4, dimension=2, max_entries=4)
+        counts = [2, 30, 0, 5]
+        points, weights, owners = [], [], []
+        for tree_id, count in enumerate(counts):
+            for point in rng.uniform(0, 1, size=(count, 2)):
+                weight = float(rng.uniform(0.1, 1.0))
+                forest.insert(tree_id, point, weight=weight)
+                points.append(point)
+                weights.append(weight)
+                owners.append(tree_id)
+        forest.flush()
+        roots = forest._tree_root
+        assert roots[2] == -1
+        assert forest._node_leaf[roots[0]]
+        assert not forest._node_leaf[roots[1]]
+        assert not forest._node_leaf[roots[3]]
+        points, weights = np.asarray(points), np.asarray(weights)
+        owners = np.asarray(owners)
+        corners = rng.uniform(0, 1, size=(12, 2))
+        sigma = forest.dominance_aggregate(corners)
+        for row, corner in enumerate(corners):
+            for tree_id in range(4):
+                mask = (owners == tree_id) & np.all(points <= corner, axis=1)
+                assert sigma[row, tree_id] == pytest.approx(
+                    weights[mask].sum())
+
+    @pytest.mark.parametrize("max_entries", [4, 7, 16])
+    def test_queries_between_rebuilds_match_brute_force(self, max_entries):
+        """Interleaved inserts and queries stay exact across every
+        size-doubling rebuild, whatever the fan-out."""
+        rng = np.random.default_rng(83 + max_entries)
+        forest = RTreeForest(num_trees=5, dimension=3,
+                             max_entries=max_entries)
+        points = rng.uniform(0, 1, size=(160, 3))
+        weights = rng.uniform(0, 1, size=160)
+        owners = rng.integers(0, 5, size=160)
+        corners = rng.uniform(0.3, 1, size=(6, 3))
+        for step in range(160):
+            forest.insert(int(owners[step]), points[step],
+                          weight=float(weights[step]))
+            if step % 23 == 0 or step == 159:
+                seen = slice(0, step + 1)
+                sigma = forest.dominance_aggregate(corners)
+                for row, corner in enumerate(corners):
+                    inside = np.all(points[seen] <= corner, axis=1)
+                    for tree_id in range(5):
+                        mask = inside & (owners[seen] == tree_id)
+                        assert sigma[row, tree_id] == pytest.approx(
+                            weights[seen][mask].sum())
+        assert int(forest.sizes.sum()) == 160
+
+    def test_chunked_corner_batches_match_one_pass(self, monkeypatch):
+        """A corner batch split into memory-bounded chunks gives the same
+        σ matrix as a single pass."""
+        import repro.index.rtree as rtree_module
+
+        rng = np.random.default_rng(84)
+        forest = RTreeForest(num_trees=4, dimension=2, max_entries=4)
+        for point in rng.uniform(0, 1, size=(60, 2)):
+            forest.insert(int(rng.integers(0, 4)), point,
+                          weight=float(rng.uniform(0, 1)))
+        corners = rng.uniform(0, 1, size=(25, 2))
+        whole = forest.dominance_aggregate(corners)
+        # A budget this small leaves room for one corner per chunk.
+        monkeypatch.setattr(rtree_module, "_CHUNK_BUDGET", 1)
+        chunked = forest.dominance_aggregate(corners)
+        assert np.array_equal(whole, chunked)
